@@ -26,7 +26,7 @@ use crate::config::{DistributorConfig, Geometry};
 use crate::health::{BreakerState, FailureKind, HealthTracker};
 use crate::integrity;
 use crate::journal::{Journal, OpId, OpKind};
-use crate::mislead;
+use crate::mislead::{self, Decoys};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
@@ -263,8 +263,8 @@ struct DirtyRows {
 /// put) or on a transfer-pool worker (pipelined put).
 struct EncodedGroup {
     /// Per data chunk: virtual id, stored bytes (mislead-injected),
-    /// mislead positions, logical length.
-    chunks: Vec<(VirtualId, Vec<u8>, Vec<usize>, usize)>,
+    /// decoy metadata, logical length.
+    chunks: Vec<(VirtualId, Vec<u8>, Decoys, usize)>,
     /// Stripe shard width (longest stored chunk; shorter chunks are
     /// logically zero-padded for parity).
     width: usize,
@@ -1394,7 +1394,7 @@ impl CloudDataDistributor {
         raid: RaidLevel,
         mut scratch: Vec<Vec<u8>>,
     ) -> std::result::Result<EncodedGroup, fragcloud_raid::RaidError> {
-        let chunks: Vec<(VirtualId, Vec<u8>, Vec<usize>, usize)> = group
+        let chunks: Vec<(VirtualId, Vec<u8>, Decoys, usize)> = group
             .into_iter()
             .map(|(vid, logical)| {
                 let logical = logical.as_ref();
@@ -1575,8 +1575,8 @@ impl CloudDataDistributor {
                 provider_idx,
                 snapshot_provider_idx: None,
                 snapshot_vid: None,
-                snapshot_mislead: Vec::new(),
-                mislead_positions: positions.clone(),
+                snapshot_decoys: Decoys::None,
+                decoys: positions.clone(),
                 stored_len: stored.len(),
                 logical_len: *logical_len,
                 stripe: Some(StripeRef {
@@ -1629,8 +1629,8 @@ impl CloudDataDistributor {
                 provider_idx,
                 snapshot_provider_idx: None,
                 snapshot_vid: None,
-                snapshot_mislead: Vec::new(),
-                mislead_positions: Vec::new(),
+                snapshot_decoys: Decoys::None,
+                decoys: Decoys::None,
                 stored_len: width,
                 logical_len: width,
                 stripe: Some(StripeRef {
@@ -2014,7 +2014,7 @@ impl CloudDataDistributor {
                         .record(e.provider_idx, ReputationEvent::Success);
                     per_provider_time[e.provider_idx] +=
                         st.providers[e.provider_idx].simulate_transfer(e.stored_len);
-                    out.extend_from_slice(&mislead::strip(&bytes, &e.mislead_positions));
+                    out.extend_from_slice(&mislead::try_strip(&bytes, &e.decoys)?);
                 }
                 None => {
                     let fetch = self.fetch_logical_chunk(&st, ci)?;
@@ -2070,7 +2070,7 @@ impl CloudDataDistributor {
                         {
                             self.telemetry().incr("reads_hedged");
                             return Ok(ChunkFetch {
-                                logical: mislead::strip(&stored, &entry.mislead_positions),
+                                logical: mislead::try_strip(&stored, &entry.decoys)?,
                                 charged_provider: entry.provider_idx,
                                 time,
                                 reconstructed: true,
@@ -2139,7 +2139,7 @@ impl CloudDataDistributor {
                     self.telemetry().incr("failovers_total");
                 }
                 return Ok(ChunkFetch {
-                    logical: mislead::strip(&stored, &entry.mislead_positions),
+                    logical: mislead::try_strip(&stored, &entry.decoys)?,
                     charged_provider: pidx,
                     time,
                     reconstructed: false,
@@ -2163,7 +2163,7 @@ impl CloudDataDistributor {
                 // this fetch's simulated time).
                 self.read_repair(st, entry.provider_idx, entry.vid, &stored);
                 Ok(ChunkFetch {
-                    logical: mislead::strip(&stored, &entry.mislead_positions),
+                    logical: mislead::try_strip(&stored, &entry.decoys)?,
                     charged_provider: entry.provider_idx,
                     time: time + rtime,
                     reconstructed: true,
@@ -2349,11 +2349,12 @@ impl CloudDataDistributor {
             .or_else(|| eligible.first().copied())
             .ok_or(CoreError::NoEligibleProvider { pl })?;
         let snapshot_vid = self.vids.allocate();
-        let rate = if st.chunks[chunk_idx].mislead_positions.is_empty() {
-            0.0
-        } else {
-            self.config.mislead_rate
-        };
+        // Keep the chunk's own decoy density: its rate may have come from
+        // the put's options rather than the distributor's configuration.
+        let rate = mislead::density(
+            st.chunks[chunk_idx].decoys.len(),
+            st.chunks[chunk_idx].logical_len,
+        );
         let (stored, positions) =
             mislead::inject(new_data, rate, self.config.seed ^ snapshot_vid.0);
         let plan = self.plan_parity(&st, chunk_idx, &stored)?;
@@ -2376,9 +2377,9 @@ impl CloudDataDistributor {
             entry.snapshot_provider_idx = Some(snapshot_idx);
             entry.snapshot_vid = Some(snapshot_vid);
             // The snapshot object holds the pre-state's STORED form; keep its
-            // mislead positions so restore can strip it correctly.
-            entry.snapshot_mislead = std::mem::take(&mut entry.mislead_positions);
-            entry.mislead_positions = positions;
+            // decoy metadata so restore can strip it correctly.
+            entry.snapshot_decoys = std::mem::take(&mut entry.decoys);
+            entry.decoys = positions;
             entry.stored_len = stored.len();
             entry.logical_len = new_data.len();
         }
@@ -2427,9 +2428,14 @@ impl CloudDataDistributor {
         let pre_state = st.providers[sp].get(svid)?; // fraglint: allow(lock-order) — read under the guard: vid must match the locked table entry
         let (pre_state, _) = integrity::unframe(svid, pre_state)?;
         // The snapshot holds the pre-state's *stored* bytes; the matching
-        // mislead positions were preserved in `snapshot_mislead` at update
-        // time and are reinstated below so reads strip correctly.
+        // decoy metadata was preserved in `snapshot_decoys` at update
+        // time and is reinstated below so reads strip correctly. Its row
+        // carries no length, so it is checked against the object here.
         let len = pre_state.len();
+        st.chunks[chunk_idx]
+            .snapshot_decoys
+            .check(len)
+            .map_err(mislead::corrupt)?;
         // Plan parity first (clean abort on unavailable peers), then mutate.
         let plan = self.plan_parity(&st, chunk_idx, &pre_state)?;
         // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
@@ -2443,8 +2449,8 @@ impl CloudDataDistributor {
         {
             let entry = &mut st.chunks[chunk_idx];
             entry.stored_len = len;
-            entry.mislead_positions = std::mem::take(&mut entry.snapshot_mislead);
-            entry.logical_len = len - entry.mislead_positions.len();
+            entry.decoys = std::mem::take(&mut entry.snapshot_decoys);
+            entry.logical_len = len - entry.decoys.len();
             entry.snapshot_provider_idx = None;
             entry.snapshot_vid = None;
         }
@@ -3491,6 +3497,44 @@ mod tests {
         assert_eq!(&got[..64], &body[..64]);
         assert_eq!(&got[64..128], &[7u8; 64]);
         s.restore_snapshot("f", 1).unwrap();
+        assert_eq!(s.get_file("f").unwrap().data, body);
+    }
+
+    #[test]
+    fn update_keeps_a_per_file_mislead_rate() {
+        // Regression: an update re-injected at the distributor's rate
+        // (0 here), silently dropping decoys the put asked for.
+        let d = CloudDataDistributor::new(
+            fleet(6, PrivacyLevel::High),
+            DistributorConfig {
+                chunk_sizes: ChunkSizeSchedule::uniform(64),
+                stripe_width: 3,
+                mislead_rate: 0.0,
+                ..Default::default()
+            },
+        );
+        d.register_client("c").unwrap();
+        d.add_password("c", "p", PrivacyLevel::High).unwrap();
+        let s = d.session("c", "p").unwrap();
+        let body = data(200);
+        s.put_file(
+            "f",
+            &body,
+            PrivacyLevel::Moderate,
+            PutOptions::new().mislead_rate(0.1),
+        )
+        .unwrap();
+        let chunk_1 = || {
+            let st = d.read_shard_for("c", "f");
+            let e = &st.chunks[st.file("c", "f").unwrap().chunk_indices[1]];
+            (e.stored_len, e.decoys.len())
+        };
+        assert_eq!(chunk_1(), (71, 7));
+        s.update_chunk("f", 1, &[7u8; 64]).unwrap();
+        assert_eq!(chunk_1(), (71, 7));
+        assert_eq!(&s.get_file("f").unwrap().data[64..128], &[7u8; 64]);
+        s.restore_snapshot("f", 1).unwrap();
+        assert_eq!(chunk_1(), (71, 7));
         assert_eq!(s.get_file("f").unwrap().data, body);
     }
 

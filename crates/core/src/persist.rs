@@ -39,8 +39,27 @@
 //! distributors. The per-row serializers (`chunk_row` and friends) are
 //! shared with `core::journal`'s delta records, so a delta line and a
 //! snapshot line never drift apart.
+//!
+//! ## Decoy fields
+//!
+//! A `chunk|` row's `snap_mislead` and `mislead` fields hold
+//! [`Decoys`] metadata, in one of three forms:
+//!
+//! ```text
+//! <empty>            no misleading bytes
+//! s<seed>:<count>    count positions regenerated from seed over the stored length
+//! 3,17,40            legacy explicit ascending positions
+//! ```
+//!
+//! Injection only produces the first two forms, so a new row's size no
+//! longer grows with its chunk; a legacy list read from an old snapshot
+//! or journal is written back as a list until its chunk is rewritten.
+//! A live row whose `mislead` field does not fit its stored length (a
+//! count ≥ the stored length, or a list that is unsorted or out of range)
+//! is rejected as `CorruptState`, in snapshots and journal deltas alike.
 
 use crate::distributor::CloudDataDistributor;
+use crate::mislead::Decoys;
 use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
 use crate::{CoreError, PrivacyLevel, Result};
 use fragcloud_raid::RaidLevel;
@@ -117,6 +136,11 @@ fn push_list<T: std::fmt::Display>(out: &mut String, items: impl Iterator<Item =
 /// `vid|pl|provider|sp|snap_mislead|mislead|stored|logical|stripe|role|liveness`.
 /// Shared between snapshot export and journal delta records; written
 /// in-place because delta capture runs on the commit hot path.
+///
+/// `snap_mislead` and `mislead` are [`Decoys`] in row form: empty (no
+/// misleading bytes), `s<seed>:<count>` (positions regenerated from the
+/// seed over the stored length), or a `,`-joined ascending position list
+/// (a legacy row, written back as it was read).
 pub(crate) fn chunk_row_into(out: &mut String, c: &ChunkEntry) {
     use std::fmt::Write as _;
     let _ = write!(out, "{}|{}|{}|", c.vid.0, c.pl.as_u8(), c.provider_idx);
@@ -126,11 +150,11 @@ pub(crate) fn chunk_row_into(out: &mut String, c: &ChunkEntry) {
         }
         None => out.push('-'),
     }
-    out.push('|');
-    push_list(out, c.snapshot_mislead.iter());
-    out.push('|');
-    push_list(out, c.mislead_positions.iter());
-    let _ = write!(out, "|{}|{}|", c.stored_len, c.logical_len);
+    let _ = write!(
+        out,
+        "|{}|{}|{}|{}|",
+        c.snapshot_decoys, c.decoys, c.stored_len, c.logical_len
+    );
     match c.stripe {
         Some(s) => {
             let _ = write!(out, "{}:{}", s.stripe_id, s.index);
@@ -167,7 +191,10 @@ pub(crate) fn chunk_row(c: &ChunkEntry) -> String {
 
 /// Parses the 11 payload fields produced by [`chunk_row`]. Provider-index
 /// range checks are the caller's job (delta replay may legitimately see
-/// placeholders filled later).
+/// placeholders filled later). A live row's decoy metadata that does not
+/// fit its stored length is rejected here, so reads never see it; the
+/// snapshot's row carries no length, so restore checks it against the
+/// object.
 pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntry> {
     if f.len() != 11 {
         return Err(bad(line_no, "expected 11 chunk fields"));
@@ -181,8 +208,8 @@ pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntr
         let (i, v) = parse_idx_vid(f[3], line_no)?;
         (Some(i), Some(v))
     };
-    let snapshot_mislead = parse_list(f[4], line_no, parse_usize)?;
-    let mislead_positions = parse_list(f[5], line_no, parse_usize)?;
+    let snapshot_decoys: Decoys = f[4].parse().map_err(|why: String| bad(line_no, &why))?;
+    let decoys: Decoys = f[5].parse().map_err(|why: String| bad(line_no, &why))?;
     let stored_len = parse_usize(f[6], line_no)?;
     let logical_len = parse_usize(f[7], line_no)?;
     let stripe = if f[8] == "-" {
@@ -215,14 +242,19 @@ pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntr
         None if f[10] == "removed" => (true, Vec::new()),
         _ => return Err(bad(line_no, "bad liveness tag")),
     };
+    // Tombstones keep their last metadata over a zero stored length and
+    // are never read.
+    if !removed {
+        decoys.check(stored_len).map_err(|why| bad(line_no, &why))?;
+    }
     Ok(ChunkEntry {
         vid,
         pl,
         provider_idx,
         snapshot_provider_idx,
         snapshot_vid,
-        snapshot_mislead,
-        mislead_positions,
+        snapshot_decoys,
+        decoys,
         stored_len,
         logical_len,
         stripe,
@@ -728,5 +760,152 @@ mod tests {
         let s2 = d2.session("c", "p").unwrap();
         assert!(s2.get_chunk("f", 1).is_err());
         assert_eq!(s2.get_chunk("f", 0).unwrap(), &data[..64]);
+    }
+
+    /// A distributor holding file `f` (300 bytes, chunk 1 updated to 9s,
+    /// so the update's snapshot carries decoys too), and `f`'s content.
+    fn updated_file(providers: Vec<Arc<CloudProvider>>) -> (CloudDataDistributor, Vec<u8>) {
+        let d = CloudDataDistributor::new(providers, config());
+        d.register_client("c").unwrap();
+        d.add_password("c", "p", PrivacyLevel::High).unwrap();
+        let s = d.session("c", "p").unwrap();
+        s.put_file(
+            "f",
+            &body(300),
+            PrivacyLevel::Moderate,
+            PutOptions::default(),
+        )
+        .unwrap();
+        s.update_chunk("f", 1, &[9u8; 64]).unwrap();
+        let mut want = body(300);
+        want[64..128].fill(9);
+        (d, want)
+    }
+
+    /// Field positions in a `chunk|` line: snapshot rows, and journal
+    /// delta rows (which add `shard|index` before the row).
+    const SNAP_MISLEAD: usize = 5;
+    const MISLEAD: usize = 6;
+    const DELTA_MISLEAD: usize = 8;
+
+    /// Sets `|`-field `k` of the first `chunk|` line whose field `k` is
+    /// seeded; returns the text and that line's 1-based number.
+    fn corrupt_row(text: &str, k: usize, value: &str) -> (String, usize) {
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with("chunk|") && l.split('|').nth(k).unwrap().starts_with('s'))
+            .expect("a seeded row");
+        let mut f: Vec<&str> = lines[at].split('|').collect();
+        f[k] = value;
+        lines[at] = f.join("|");
+        (lines.join("\n") + "\n", at + 1)
+    }
+
+    #[test]
+    fn seeded_rows_roundtrip_through_snapshot_and_journal_delta() {
+        let providers = fleet();
+        let (d, want) = updated_file(providers.clone());
+        let snapshot = export_state(&d);
+        // Both decoy fields of the updated chunk are seeded rows.
+        let (_, line) = corrupt_row(&snapshot, SNAP_MISLEAD, "");
+        let row: Vec<&str> = snapshot.lines().nth(line - 1).unwrap().split('|').collect();
+        for field in [&row[SNAP_MISLEAD], &row[MISLEAD]] {
+            assert!(
+                matches!(field.parse(), Ok(Decoys::Seeded { .. })),
+                "{field}"
+            );
+        }
+        let d2 = import_state(&snapshot, providers.clone(), config()).unwrap();
+        assert_eq!(export_state(&d2), snapshot);
+        assert_eq!(
+            d2.session("c", "p").unwrap().get_file("f").unwrap().data,
+            want
+        );
+
+        // A put after the checkpoint is journaled as a delta row.
+        let journal = Arc::new(crate::Journal::new());
+        d.attach_journal(Arc::clone(&journal));
+        d.session("c", "p")
+            .unwrap()
+            .put_file("g", &body(200), PrivacyLevel::Low, PutOptions::default())
+            .unwrap();
+        let text = journal.export();
+        let delta = text.lines().find(|l| l.starts_with("commit|")).unwrap();
+        assert!(unesc(delta).lines().any(|r| r.starts_with("chunk|")
+            && matches!(
+                r.split('|').nth(DELTA_MISLEAD).unwrap().parse(),
+                Ok(Decoys::Seeded { .. })
+            )));
+        let journal = Arc::new(crate::Journal::parse(&text).unwrap());
+        let (d3, report) = crate::recover(journal, providers, config()).unwrap();
+        assert_eq!(report.unrecoverable, 0);
+        let s3 = d3.session("c", "p").unwrap();
+        assert_eq!(s3.get_file("f").unwrap().data, want);
+        assert_eq!(s3.get_file("g").unwrap().data, body(200));
+        s3.restore_snapshot("f", 1).unwrap();
+        assert_eq!(s3.get_file("f").unwrap().data, body(300));
+    }
+
+    #[test]
+    fn corrupt_decoy_rows_are_typed_errors() {
+        let providers = fleet();
+        let (d, want) = updated_file(providers.clone());
+        let snapshot = export_state(&d);
+        let stored: usize = {
+            let (_, line) = corrupt_row(&snapshot, MISLEAD, "");
+            let row = snapshot.lines().nth(line - 1).unwrap();
+            row.split('|').nth(MISLEAD + 1).unwrap().parse().unwrap()
+        };
+        // As many decoys as stored bytes would never finish regenerating;
+        // unsorted, out-of-range and malformed fields are refused too.
+        for value in [
+            format!("s1:{stored}"),
+            "5,3".to_string(),
+            "3,3".to_string(),
+            format!("1,{stored}"),
+            "s1".to_string(),
+            "sx:1".to_string(),
+        ] {
+            let (bad_snapshot, line) = corrupt_row(&snapshot, MISLEAD, &value);
+            let err = import_state(&bad_snapshot, providers.clone(), config()).unwrap_err();
+            assert!(
+                matches!(err, CoreError::CorruptState { line: l, .. } if l == line),
+                "{value}: {err:?}"
+            );
+        }
+
+        // The snapshot field has no length in its row, so a bad count
+        // imports and restore refuses it against the snapshot object.
+        let (bad_snapshot, _) = corrupt_row(&snapshot, SNAP_MISLEAD, "s1:100000");
+        let d2 = import_state(&bad_snapshot, providers.clone(), config()).unwrap();
+        let s2 = d2.session("c", "p").unwrap();
+        let err = s2.restore_snapshot("f", 1).unwrap_err();
+        assert!(matches!(err, CoreError::CorruptState { .. }), "{err:?}");
+        assert_eq!(s2.get_file("f").unwrap().data, want);
+
+        // A journal delta row is parsed by the same code: recovery counts
+        // the bad row instead of applying it.
+        let journal = Arc::new(crate::Journal::new());
+        d.attach_journal(Arc::clone(&journal));
+        d.session("c", "p")
+            .unwrap()
+            .put_file("g", &body(200), PrivacyLevel::Low, PutOptions::default())
+            .unwrap();
+        let text: Vec<String> = journal
+            .export()
+            .lines()
+            .map(|l| match l.strip_prefix("commit|") {
+                Some(rest) => {
+                    let (op, delta) = rest.split_once('|').unwrap();
+                    let (bad_delta, _) = corrupt_row(&unesc(delta), DELTA_MISLEAD, "s1:100000");
+                    format!("commit|{op}|{}", esc(&bad_delta))
+                }
+                None => l.to_string(),
+            })
+            .collect();
+        let journal = Arc::new(crate::Journal::parse(&(text.join("\n") + "\n")).unwrap());
+        let (_, report) = crate::recover(journal, providers, config()).unwrap();
+        assert_eq!(report.unrecoverable, 1, "{report:?}");
     }
 }

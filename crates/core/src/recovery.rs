@@ -37,6 +37,7 @@
 use crate::config::DistributorConfig;
 use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpKind, OpStatus, OpView};
+use crate::mislead::Decoys;
 use crate::persist;
 use crate::tables::{ChunkEntry, ChunkRole, StripeInfo};
 use crate::Result;
@@ -253,8 +254,8 @@ fn placeholder_chunk() -> ChunkEntry {
         provider_idx: 0,
         snapshot_provider_idx: None,
         snapshot_vid: None,
-        snapshot_mislead: Vec::new(),
-        mislead_positions: Vec::new(),
+        snapshot_decoys: Decoys::None,
+        decoys: Decoys::None,
         stored_len: 0,
         logical_len: 0,
         stripe: None,

@@ -9,6 +9,7 @@
 //!   provider index, misleading-byte positions (plus the stripe bookkeeping
 //!   our RAID layer needs).
 
+use crate::mislead::Decoys;
 use crate::{CoreError, Result};
 use fragcloud_raid::RaidLevel;
 use fragcloud_sim::{CloudProvider, PrivacyLevel, VirtualId};
@@ -52,11 +53,12 @@ pub struct ChunkEntry {
     pub snapshot_provider_idx: Option<usize>,
     /// Virtual id of the snapshot object at the snapshot provider.
     pub snapshot_vid: Option<VirtualId>,
-    /// Misleading-byte positions of the snapshotted pre-state (the snapshot
-    /// object holds the *stored* form, so restore needs these to strip it).
-    pub snapshot_mislead: Vec<usize>,
-    /// Ascending positions of misleading bytes in the stored chunk (`M`).
-    pub mislead_positions: Vec<usize>,
+    /// Misleading bytes of the snapshotted pre-state (the snapshot object
+    /// holds the *stored* form, so restore needs these to strip it).
+    pub snapshot_decoys: Decoys,
+    /// Misleading bytes of the stored chunk (`M`): a seed and a count
+    /// from which the positions are regenerated.
+    pub decoys: Decoys,
     /// Stored length (logical + misleading bytes).
     pub stored_len: usize,
     /// Logical (client-visible) length.
@@ -259,17 +261,15 @@ impl Tables {
                 .snapshot_provider_idx
                 .map(|i| i.to_string())
                 .unwrap_or_else(|| "NA".to_string());
-            let m: Vec<String> = ch
-                .mislead_positions
-                .iter()
-                .take(3)
-                .map(|p| p.to_string())
-                .collect();
-            let ell = if ch.mislead_positions.len() > 3 {
-                ", ..."
+            // Regenerated from the seed; the table keeps only (seed, count).
+            // A tombstone has no stored bytes, so no positions either.
+            let positions = if ch.removed {
+                Vec::new()
             } else {
-                ""
+                ch.decoys.positions(ch.stored_len).unwrap_or_default()
             };
+            let m: Vec<String> = positions.iter().take(3).map(|p| p.to_string()).collect();
+            let ell = if positions.len() > 3 { ", ..." } else { "" };
             out.push_str(&format!(
                 "{} | {} | {} | {} | {{{}{}}}\n",
                 ch.vid.0,
@@ -369,8 +369,8 @@ mod tests {
             provider_idx: 0,
             snapshot_provider_idx: None,
             snapshot_vid: None,
-            snapshot_mislead: Vec::new(),
-            mislead_positions: vec![],
+            snapshot_decoys: Decoys::None,
+            decoys: Decoys::None,
             stored_len: 8,
             logical_len: 8,
             stripe: None,
